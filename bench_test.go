@@ -132,15 +132,19 @@ func BenchmarkCLKKick(b *testing.B) {
 // kickLoop is the shared body of the perf-trajectory benchmarks tracked in
 // BENCH_*.json: a fixed, seeded warm-up phase whose incumbent length is
 // reported as "tourlen" (bit-identical run over run and commit over
-// commit — the guard that a speed-up did not change the search), then a
-// timed steady-state phase reporting throughput as "kicks/sec".
+// commit — the guard that a speed-up did not change the search) and whose
+// tour positions written per kick are reported as "writes/kick" (a
+// deterministic work count), then a timed steady-state phase reporting
+// throughput as "kicks/sec".
 func kickLoop(b *testing.B, family tsp.Family, n int, fixedKicks int) {
 	in := tsp.Generate(family, n, 42)
 	s := clk.New(in, clk.DefaultParams(), 1)
+	w0 := s.TourWrites()
 	for i := 0; i < fixedKicks; i++ {
 		s.KickOnce()
 	}
 	lenAtFixed := s.BestLength() // deterministic: seed 1, fixedKicks kicks
+	writesPerKick := float64(s.TourWrites()-w0) / float64(fixedKicks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -149,6 +153,7 @@ func kickLoop(b *testing.B, family tsp.Family, n int, fixedKicks int) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "kicks/sec")
 	b.ReportMetric(float64(lenAtFixed), "tourlen")
+	b.ReportMetric(writesPerKick, "writes/kick")
 }
 
 // BenchmarkOptimizeAfterKick is the acceptance benchmark for the flattened
@@ -281,33 +286,6 @@ func BenchmarkFlip(b *testing.B) {
 		a := int32(i % 10000)
 		c := int32((i*7 + 13) % 10000)
 		tour.Flip(a, c)
-	}
-}
-
-// BenchmarkTourRepresentations compares flip costs of the array tour and
-// the two-level doubly-linked tour across instance sizes. The array's
-// shorter-side flips are cache-friendly and win at testbed scale; the
-// two-level structure's O(sqrt(n)) bound pays off for million-city
-// instances and adversarially long flips.
-func BenchmarkTourRepresentations(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		perm := tsp.IdentityTour(n)
-		b.Run("array/n="+itoa(n), func(b *testing.B) {
-			at := lk.NewArrayTour(perm)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				at.Flip(int32(i%n), int32((i*37+11)%n))
-			}
-		})
-		b.Run("twolevel/n="+itoa(n), func(b *testing.B) {
-			tl := lk.NewTwoLevelTour(perm)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tl.Flip(int32(i%n), int32((i*37+11)%n))
-			}
-		})
 	}
 }
 

@@ -742,7 +742,7 @@ func (s *Solver) solveCLK(ctx context.Context, nbr *neighbor.Lists, relax int) R
 	// One worker takes the classic single-goroutine path: byte-identical to
 	// every release since the facade existed for a given seed.
 	if s.o.workers == 1 {
-		engine := clk.NewWith(s.o.scratch, s.in, p, s.o.seed)
+		engine := clk.NewWith(ctx, s.o.scratch, s.in, p, s.o.seed)
 		engine.Rec = s.observer.Recorder(0)
 		engine.Rec.SetBest(engine.BestLength())
 		res := engine.Run(ctx, b)

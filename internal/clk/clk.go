@@ -234,6 +234,12 @@ func (s *Solver) BestLength() int64 { return s.bestLen }
 // Kicks returns the cumulative number of kicks applied.
 func (s *Solver) Kicks() int64 { return s.kicks }
 
+// TourWrites returns the cumulative number of tour positions written by
+// kicks, reverts, LK flips and LK snapshot copies (see
+// lk.Optimizer.Writes): a deterministic, host-independent count of
+// kick-loop work.
+func (s *Solver) TourWrites() int64 { return s.opt.Writes() }
+
 // SetTour replaces the incumbent with the given tour (not re-optimized).
 func (s *Solver) SetTour(t tsp.Tour) {
 	s.best.SetTour(t)

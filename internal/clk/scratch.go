@@ -1,6 +1,8 @@
 package clk
 
 import (
+	"context"
+
 	"distclk/internal/lk"
 	"distclk/internal/neighbor"
 	"distclk/internal/tsp"
@@ -53,7 +55,10 @@ func (sc *Scratch) Owns(s *Solver) bool {
 }
 
 // NewWith is New drawing the per-solve scratch from sc (nil = allocate
-// fresh). The returned solver aliases sc until the next NewWith on it.
-func NewWith(sc *Scratch, inst *tsp.Instance, p Params, seed int64) *Solver {
-	return newSolver(sc, inst, p, seed, nil)
+// fresh) and polling ctx during the construction LK pass, so a budget or
+// cancellation interrupts construction as it does a Group's; an aborted
+// pass still leaves a valid initial incumbent. The returned solver
+// aliases sc until the next NewWith on it.
+func NewWith(ctx context.Context, sc *Scratch, inst *tsp.Instance, p Params, seed int64) *Solver {
+	return newSolver(sc, inst, p, seed, cancelPoll(ctx))
 }

@@ -1,6 +1,7 @@
 package clk
 
 import (
+	"context"
 	"testing"
 
 	"distclk/internal/tsp"
@@ -12,14 +13,14 @@ func TestScratchReuseAcrossSolvers(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 300, 1)
 	sc := &Scratch{}
 
-	s1 := NewWith(sc, in, DefaultParams(), 1)
+	s1 := NewWith(context.Background(), sc, in, DefaultParams(), 1)
 	if !sc.Owns(s1) {
 		t.Fatalf("first solver not backed by scratch")
 	}
 	first := &s1.Nbr.Of(0)[0]
 	l1 := s1.BestLength()
 
-	s2 := NewWith(sc, in, DefaultParams(), 1)
+	s2 := NewWith(context.Background(), sc, in, DefaultParams(), 1)
 	if !sc.Owns(s2) {
 		t.Fatalf("rebuilt solver not backed by scratch")
 	}
@@ -49,7 +50,7 @@ func TestScratchReuseAcrossInstances(t *testing.T) {
 	for i, n := range sizes {
 		in := tsp.Generate(tsp.FamilyClustered, n, int64(i+1))
 		fresh := New(in, DefaultParams(), 7)
-		pooled := NewWith(sc, in, DefaultParams(), 7)
+		pooled := NewWith(context.Background(), sc, in, DefaultParams(), 7)
 		if !sc.Owns(pooled) {
 			t.Fatalf("n=%d: pooled solver not backed by scratch", n)
 		}
@@ -63,7 +64,7 @@ func TestScratchReuseAcrossInstances(t *testing.T) {
 func TestNewWithNilScratch(t *testing.T) {
 	in := tsp.Generate(tsp.FamilyUniform, 150, 3)
 	a := New(in, DefaultParams(), 5)
-	b := NewWith(nil, in, DefaultParams(), 5)
+	b := NewWith(context.Background(), nil, in, DefaultParams(), 5)
 	if a.BestLength() != b.BestLength() {
 		t.Fatalf("NewWith(nil) diverges from New: %d vs %d", b.BestLength(), a.BestLength())
 	}

@@ -50,8 +50,8 @@ func (p Params) breadth(depth int) int {
 // step is one link of an exchange chain: with anchor t1 and current loose
 // end `loose`, the move removes edges (t1,loose) and (v,y), and adds
 // (loose,y) and (v,t1), making v the new loose end. Steps are recorded
-// orientation-free: apply/undo re-derive the array direction from Next(t1),
-// because shorter-side flips may mirror the stored orientation.
+// orientation-free: applyStep re-derives the array direction from
+// Next(t1), because shorter-side flips may mirror the stored orientation.
 type step struct {
 	loose, v int32
 }
@@ -69,6 +69,14 @@ type Optimizer struct {
 
 	Tour   *ArrayTour
 	length int64
+
+	// base is the order array of the tour as it was when the current
+	// chain started. A dive never undoes its flips: before reading the
+	// tour at a shallower depth it copies Tour's dirty range back from
+	// base and replays the path prefix (see rewind). applied is how many
+	// path steps Tour holds.
+	base    []int32
+	applied int
 
 	dist    func(i, j int32) int64
 	queue   []int32 // FIFO backing array; live entries are queue[qhead:]
@@ -101,6 +109,12 @@ type Optimizer struct {
 func NewOptimizer(inst *tsp.Instance, nbr *neighbor.Lists, tour tsp.Tour, params Params) *Optimizer {
 	return NewOptimizerWith(nil, inst, nbr, tour, params)
 }
+
+// Writes reports the tour positions written so far: flips, kicks and
+// reverts applied to the tour, and the range copies that restore it from
+// and save it into the chain-start snapshot. It is deterministic for a
+// fixed search, so it measures LK work independently of the host.
+func (o *Optimizer) Writes() int64 { return o.Tour.writes }
 
 // Length returns the current tour length (maintained incrementally).
 func (o *Optimizer) Length() int64 { return o.length }
@@ -159,6 +173,10 @@ func (o *Optimizer) QueueCities(cities []int32) {
 //
 //distlint:hotpath
 func (o *Optimizer) Optimize(stop func() bool) int64 {
+	// Kicks, reverts and SetTour change the tour between calls, so the
+	// snapshot is re-synced in full before the first chain.
+	o.Tour.saveRange(o.base, 0, o.Tour.n-1)
+	o.Tour.clean()
 	var total int64
 	checked := 0
 	for o.qhead < len(o.queue) {
@@ -227,17 +245,6 @@ func (o *Optimizer) applyStep(s step) {
 	}
 }
 
-// undoStep reverses applyStep. Precondition: edge (t1, s.v) is in the cycle.
-//
-//distlint:hotpath
-func (o *Optimizer) undoStep(s step) {
-	if o.Tour.Next(o.t1) == s.v {
-		o.Tour.Flip(s.v, s.loose)
-	} else {
-		o.Tour.Flip(s.loose, s.v)
-	}
-}
-
 // tryChain explores sequential exchanges starting by (virtually) removing
 // edge (t1, loose). The array always holds a valid cycle containing the
 // temporary closing edge (t1, current loose); each step is a 2-opt flip.
@@ -257,25 +264,57 @@ func (o *Optimizer) tryChain(t1, loose int32) int64 {
 		o.relaxLimit = -(g0 * o.relaxPerMille / 1000)
 	}
 	o.dive(loose, g0, 0)
+	o.restore()
 
 	if o.bestGain <= 0 {
 		return 0
 	}
-	// Re-apply the winning prefix and collect touched cities.
+	// Re-apply the winning prefix, collect touched cities, and fold the
+	// committed flips into the snapshot so the next chain starts from it.
 	o.touched = o.touched[:0]
 	o.touched = append(o.touched, t1, loose)
 	for _, s := range o.bestPath[:o.bestLen] {
 		o.applyStep(s)
 		o.touched = append(o.touched, s.loose, s.v)
 	}
+	o.Tour.saveRange(o.base, o.Tour.dlo, o.Tour.dhi)
+	o.Tour.clean()
 	o.length -= o.bestGain
 	return o.bestGain
 }
 
+// restore returns the tour to the snapshot taken at chain start by
+// copying back only the positions flipped since.
+//
+//distlint:hotpath
+func (o *Optimizer) restore() {
+	o.Tour.restoreRange(o.base, o.Tour.dlo, o.Tour.dhi)
+	o.Tour.clean()
+	o.applied = 0
+}
+
+// rewind brings the tour back to the state a dive at the given depth
+// reads: the snapshot with path[:depth] applied. Deeper steps left by a
+// finished child dive are discarded by restoring the dirty range and
+// replaying the prefix (at most len(Breadth)-1 flips, since only levels
+// with breadth > 1 read the tour after a child returns). Flips are
+// exact involutions given the shorter-side rule, so the result is
+// byte-identical to undoing the deeper steps one by one.
+//
+//distlint:hotpath
+func (o *Optimizer) rewind(depth int) {
+	o.restore()
+	for _, s := range o.path[:depth] {
+		o.applyStep(s)
+	}
+	o.applied = depth
+}
+
 // dive extends the chain from the current loose end. G is the cumulative
 // gain of removed-minus-added real edges so far (> relaxLimit on entry;
-// always > 0 under the classic rule). The tour state is restored before
-// dive returns.
+// always > 0 under the classic rule). On entry the tour holds exactly
+// path[:depth]; dive may return with deeper steps still applied, and
+// the caller rewinds lazily, only if it reads the tour again.
 //
 //distlint:hotpath
 func (o *Optimizer) dive(loose int32, G int64, depth int) {
@@ -305,6 +344,9 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		if g <= limit {
 			break // candidates sorted by distance: later ones fail too
 		}
+		if o.applied > depth {
+			o.rewind(depth)
+		}
 		// v is y's path-neighbour on the loose side, derived from the
 		// current orientation of the temporary edge (t1, loose).
 		var v int32
@@ -328,11 +370,11 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		}
 		if depth+1 < o.params.MaxDepth {
 			// The 2-opt flip is only needed so the deeper dive sees the
-			// updated cycle; at the last level the pair of flips would be
-			// pure wasted work, so it is skipped.
+			// updated cycle; at the last level it would be pure wasted
+			// work, so it is skipped.
 			o.applyStep(s)
+			o.applied = depth + 1
 			o.dive(v, newG, depth+1)
-			o.undoStep(s)
 		}
 		o.path = o.path[:len(o.path)-1]
 

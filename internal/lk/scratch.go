@@ -17,6 +17,8 @@ type Scratch struct {
 	path     []step
 	bestPath []step
 	touched  []int32
+	// base backs the optimizer's chain-start snapshot.
+	base []int32
 }
 
 // owns reports whether o's queue backing array came from sc — the
@@ -53,6 +55,9 @@ func NewOptimizerWith(sc *Scratch, inst *tsp.Instance, nbr *neighbor.Lists, tour
 	if t := 2*params.MaxDepth + 2; cap(sc.touched) < t {
 		sc.touched = make([]int32, 0, t)
 	}
+	if cap(sc.base) < n {
+		sc.base = make([]int32, n)
+	}
 	o := &Optimizer{
 		inst:     inst,
 		nbr:      nbr,
@@ -65,6 +70,7 @@ func NewOptimizerWith(sc *Scratch, inst *tsp.Instance, nbr *neighbor.Lists, tour
 		bestPath: sc.bestPath[:0],
 		touched:  sc.touched[:0],
 	}
+	o.base = sc.base[:n]
 	o.length = tour.Length(inst)
 	if params.RelaxDepth > 0 {
 		o.relaxDepth = params.RelaxDepth

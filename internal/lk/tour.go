@@ -12,6 +12,16 @@ type ArrayTour struct {
 	order []int32
 	pos   []int32
 	n     int32
+
+	// dlo..dhi is the dirty range: every position Flip has written since
+	// the last clean (empty when dlo > dhi). A flip that wraps around the
+	// array end marks the whole array. LK backtracking restores exactly
+	// this range from a snapshot instead of undoing flips one by one.
+	dlo, dhi int32
+	// writes counts the order positions written by every mutating
+	// method and saved into snapshots by saveRange: the host-independent
+	// work measure of the LK search.
+	writes int64
 }
 
 // NewArrayTour builds the structure from a tour permutation (copied).
@@ -26,6 +36,7 @@ func NewArrayTour(t tsp.Tour) *ArrayTour {
 	for i, c := range at.order {
 		at.pos[c] = int32(i)
 	}
+	at.clean()
 	return at
 }
 
@@ -79,9 +90,8 @@ func (t *ArrayTour) SeqLen(a, b int32) int32 {
 // Flip reverses the forward segment from a to b (inclusive). When the
 // complement is shorter it reverses that instead, which yields the same
 // Hamiltonian cycle but may invert the stored orientation. Because of
-// that, undoing a flip requires re-deriving the direction from a fixed
-// reference edge (see Optimizer.undoStep); Flip(b, a) alone is not a
-// reliable inverse.
+// that, Flip(b, a) alone is not a reliable inverse; LK backtracks by
+// restoring the dirty range from a snapshot (see Optimizer.rewind).
 //
 //distlint:hotpath
 func (t *ArrayTour) Flip(a, b int32) {
@@ -109,10 +119,17 @@ func (t *ArrayTour) Flip(a, b int32) {
 			return
 		}
 	}
+	t.writes += int64(inLen &^ 1)
 	if pa <= pb {
 		// Common case: the reversed range is contiguous in the array, so
 		// the two cursors never wrap — a tight loop with no modular
 		// arithmetic.
+		if pa < t.dlo {
+			t.dlo = pa
+		}
+		if pb > t.dhi {
+			t.dhi = pb
+		}
 		order, pos := t.order, t.pos
 		for i, j := pa, pb; i < j; i, j = i+1, j-1 {
 			ci, cj := order[i], order[j]
@@ -121,6 +138,7 @@ func (t *ArrayTour) Flip(a, b int32) {
 		}
 		return
 	}
+	t.dlo, t.dhi = 0, t.n-1
 	i, j := pa, pb
 	for k := inLen / 2; k > 0; k-- {
 		ci, cj := t.order[i], t.order[j]
@@ -146,6 +164,7 @@ func (t *ArrayTour) Flip(a, b int32) {
 //
 //distlint:hotpath
 func (t *ArrayTour) SetSeg(start int32, cities []int32) {
+	t.writes += int64(len(cities))
 	copy(t.order[start:], cities)
 	for i, c := range cities {
 		t.pos[c] = start + int32(i)
@@ -163,12 +182,48 @@ func (t *ArrayTour) Tour() tsp.Tour {
 //
 //distlint:hotpath
 func (t *ArrayTour) CopyFrom(src *ArrayTour) {
+	t.writes += int64(t.n)
 	copy(t.order, src.order)
 	copy(t.pos, src.pos)
 }
 
+// clean empties the dirty range.
+func (t *ArrayTour) clean() { t.dlo, t.dhi = t.n, -1 }
+
+// restoreRange overwrites positions lo..hi (inclusive, no wrap) with
+// snap[lo..hi], the order array of an earlier state of this tour, and
+// refreshes their inverse index. Positions outside the range must already
+// agree with snap, so the range holds the same set of cities in both and
+// the result stays a permutation.
+//
+//distlint:hotpath
+func (t *ArrayTour) restoreRange(snap []int32, lo, hi int32) {
+	if lo > hi {
+		return
+	}
+	copy(t.order[lo:hi+1], snap[lo:hi+1])
+	pos := t.pos
+	for i := lo; i <= hi; i++ {
+		pos[t.order[i]] = i
+	}
+	t.writes += int64(hi - lo + 1)
+}
+
+// saveRange copies positions lo..hi (inclusive, no wrap) of the order
+// array into snap, counting them as written.
+//
+//distlint:hotpath
+func (t *ArrayTour) saveRange(snap []int32, lo, hi int32) {
+	if lo > hi {
+		return
+	}
+	copy(snap[lo:hi+1], t.order[lo:hi+1])
+	t.writes += int64(hi - lo + 1)
+}
+
 // SetTour overwrites the state with the given permutation.
 func (t *ArrayTour) SetTour(tour tsp.Tour) {
+	t.writes += int64(t.n)
 	copy(t.order, tour)
 	for i, c := range t.order {
 		t.pos[c] = int32(i)

@@ -366,8 +366,11 @@ func TestStreamClientDisconnectNoLeak(t *testing.T) {
 // fresh buffers.
 func TestCancelledJobFreesScratchForReuse(t *testing.T) {
 	// sync.Pool is emptied by GC; pin it off so the hit/miss counts are
-	// deterministic rather than dependent on collection timing.
+	// deterministic rather than dependent on collection timing. It also
+	// keeps Puts in per-P slots, so a Get on another P can miss a pooled
+	// scratch; pin one P so every Get sees every Put.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	svc, ts := testServer(t, Options{Workers: 1})
 	js := submitAsync(t, ts.URL, reqBody(t, 400, 8, SolveParams{BudgetMS: 10_000}, ""))
 	waitState(t, ts.URL, js.JobID, stateRunning)
@@ -411,10 +414,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		done <- svc.Shutdown(sctx)
 	}()
 
-	// Admissions must close promptly once draining begins.
+	// Admissions must close promptly once draining begins. Each probe is
+	// a fresh instance: a probe admitted before the drain would otherwise
+	// be cached, and every later copy would be a 200 cache hit.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, _ := post(t, ts.URL+"/v1/solve", reqBody(t, 60, 11, quick, ""))
+	for seed := int64(11); ; seed++ {
+		resp, _ := post(t, ts.URL+"/v1/solve", reqBody(t, 60, seed, quick, ""))
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Fatalf("503 without Retry-After")
@@ -508,5 +513,43 @@ func TestParamsCanonicalization(t *testing.T) {
 	other, _ := SolveParams{Seed: 2}.normalize(opt)
 	if zero.canonical() == other.canonical() {
 		t.Fatalf("different seeds share a canonical key")
+	}
+}
+
+// budget_ms must bound the whole job, construction included: a 20k-city
+// job (the default MaxN) with a 200ms budget answers within a second.
+func TestBudgetBoundsLargeJob(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	body := reqBody(t, 20000, 5, SolveParams{BudgetMS: 200}, "")
+	limit := time.Second
+	if raceEnabled {
+		limit *= 6 // instrumented builds run several times slower
+	}
+	start := time.Now()
+	resp, raw := post(t, ts.URL+"/v1/solve", body)
+	took := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	checkTour(t, raw, 20000)
+	if took > limit {
+		t.Fatalf("budget_ms=200 job at n=20000 took %v, want < %v", took, limit)
+	}
+}
+
+// A TSPLIB upload declaring more cities than MaxN is refused before its
+// sections are expanded: this ~150-byte body would otherwise allocate a
+// 50000² explicit matrix (20 GB).
+func TestTSPLIBDimensionAboveMaxNRejected(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	src := "NAME: big\nTYPE: TSP\nDIMENSION: 50000\nEDGE_WEIGHT_TYPE: EXPLICIT\n" +
+		"EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n1 2 3\nEOF\n"
+	body, _ := json.Marshal(SolveRequest{TSPLIB: src})
+	resp, raw := post(t, ts.URL+"/v1/solve", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), "exceeds the limit 20000") {
+		t.Fatalf("rejection does not name the limit: %s", raw)
 	}
 }

@@ -115,7 +115,7 @@ func (r *SolveRequest) instance(maxN int) (*tsp.Instance, error) {
 		return nil, fmt.Errorf("give either coords or tsplib, not both")
 	case r.TSPLIB != "":
 		var err error
-		in, err = tsp.ReadTSPLIB(strings.NewReader(r.TSPLIB))
+		in, err = tsp.ReadTSPLIBLimit(strings.NewReader(r.TSPLIB), maxN)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package tsp
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -233,6 +234,43 @@ func TestReadTSPLIBErrors(t *testing.T) {
 		if _, err := ReadTSPLIB(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// A tiny EXPLICIT upload must not allocate its declared matrix before the
+// values are counted: DIMENSION 3037000500 used to overflow n*n and panic
+// in makeslice, and DIMENSION 50000 would have reserved 20 GB.
+func TestReadTSPLIBHugeExplicitDimension(t *testing.T) {
+	for _, dim := range []string{"3037000500", "50000", "9223372036854775807"} {
+		for _, format := range []string{"FULL_MATRIX", "UPPER_ROW", "LOWER_DIAG_ROW"} {
+			src := "NAME: big\nTYPE: TSP\nDIMENSION: " + dim +
+				"\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: " + format +
+				"\nEDGE_WEIGHT_SECTION\n1 2 3\nEOF\n"
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadTSPLIB(strings.NewReader(src))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("DIMENSION %s %s: accepted", dim, format)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+				t.Errorf("DIMENSION %s %s: allocated %d bytes before rejecting", dim, format, grew)
+			}
+		}
+	}
+}
+
+func TestReadTSPLIBLimit(t *testing.T) {
+	src := "NAME: big\nDIMENSION: 50000\nEDGE_WEIGHT_TYPE: EXPLICIT\n" +
+		"EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n1 2 3\nEOF\n"
+	_, err := ReadTSPLIBLimit(strings.NewReader(src), 20000)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Fatalf("DIMENSION above the limit: err %v, want a limit error", err)
+	}
+	ring := "NAME: sq\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n" +
+		"1 0 0\n2 1 0\n3 1 1\n4 0 1\nEOF\n"
+	if _, err := ReadTSPLIBLimit(strings.NewReader(ring), 4); err != nil {
+		t.Fatalf("DIMENSION at the limit rejected: %v", err)
 	}
 }
 

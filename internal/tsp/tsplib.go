@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -16,6 +17,14 @@ import (
 // EDGE_WEIGHT_FORMAT FULL_MATRIX, UPPER_ROW, LOWER_ROW, UPPER_DIAG_ROW, or
 // LOWER_DIAG_ROW.
 func ReadTSPLIB(r io.Reader) (*Instance, error) {
+	return ReadTSPLIBLimit(r, 0)
+}
+
+// ReadTSPLIBLimit is ReadTSPLIB rejecting a DIMENSION above maxN as soon as
+// it is read, before any coordinates or edge weights are stored (maxN <= 0
+// means no limit). Services parsing untrusted uploads use it so that the
+// declared size cannot drive an allocation.
+func ReadTSPLIBLimit(r io.Reader, maxN int) (*Instance, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 
@@ -54,6 +63,9 @@ func ReadTSPLIB(r io.Reader) (*Instance, error) {
 			d, err := strconv.Atoi(keywordValue(line))
 			if err != nil {
 				return nil, fmt.Errorf("tsp: bad DIMENSION: %v", err)
+			}
+			if maxN > 0 && d > maxN {
+				return nil, fmt.Errorf("tsp: DIMENSION %d exceeds the limit %d", d, maxN)
 			}
 			dimension = d
 			inCoords, inEdge = false, false
@@ -134,67 +146,65 @@ func keywordValue(line string) string {
 	return ""
 }
 
+// expandMatrix builds the full n×n matrix from an EDGE_WEIGHT_SECTION. It
+// checks the declared size and the number of values supplied before
+// allocating, so a small file with a huge DIMENSION fails fast instead of
+// reserving n² words.
 func expandMatrix(n int, format string, vals []int64) ([]int64, error) {
+	if n > math.MaxInt32 { // keeps n*n below the int64 range
+		return nil, fmt.Errorf("tsp: DIMENSION %d too large for an explicit matrix", n)
+	}
+	var need int
+	switch format {
+	case "FULL_MATRIX":
+		need = n * n
+	case "UPPER_ROW", "LOWER_ROW":
+		need = n * (n - 1) / 2
+	case "UPPER_DIAG_ROW", "LOWER_DIAG_ROW":
+		need = n * (n + 1) / 2
+	default:
+		return nil, fmt.Errorf("tsp: unsupported EDGE_WEIGHT_FORMAT %q", format)
+	}
+	if len(vals) < need {
+		return nil, fmt.Errorf("tsp: %s needs %d values, got %d", format, need, len(vals))
+	}
 	m := make([]int64, n*n)
 	set := func(i, j int, v int64) {
 		m[i*n+j] = v
 		m[j*n+i] = v
 	}
 	k := 0
-	take := func() (int64, error) {
-		if k >= len(vals) {
-			return 0, fmt.Errorf("tsp: edge weight section too short (%d values)", len(vals))
-		}
-		v := vals[k]
-		k++
-		return v, nil
-	}
-	var err error
-	var v int64
 	switch format {
 	case "FULL_MATRIX":
-		if len(vals) < n*n {
-			return nil, fmt.Errorf("tsp: FULL_MATRIX needs %d values, got %d", n*n, len(vals))
-		}
-		copy(m, vals[:n*n])
+		copy(m, vals[:need])
 	case "UPPER_ROW":
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
+				set(i, j, vals[k])
+				k++
 			}
 		}
 	case "LOWER_ROW":
 		for i := 0; i < n; i++ {
 			for j := 0; j < i; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
+				set(i, j, vals[k])
+				k++
 			}
 		}
 	case "UPPER_DIAG_ROW":
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
+				set(i, j, vals[k])
+				k++
 			}
 		}
 	case "LOWER_DIAG_ROW":
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
-				if v, err = take(); err != nil {
-					return nil, err
-				}
-				set(i, j, v)
+				set(i, j, vals[k])
+				k++
 			}
 		}
-	default:
-		return nil, fmt.Errorf("tsp: unsupported EDGE_WEIGHT_FORMAT %q", format)
 	}
 	return m, nil
 }

@@ -173,3 +173,38 @@ func TestCancelMidSolveCluster(t *testing.T) {
 	}
 	cancelMidSolve(t, s, 600, 400*time.Millisecond)
 }
+
+// A budget must bound construction too: at n=20k the initial LK pass alone
+// takes seconds, and the one-worker path used to run it to completion
+// before looking at the deadline. Both the plain path and the pooled
+// WithScratch path (every service job) are covered.
+func TestBudgetHonouredDuringConstruction(t *testing.T) {
+	const n = 20000
+	in, _ := Generate("uniform", n, 13)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"scratch", []Option{WithScratch(new(Scratch))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(in, append(tc.opts, WithBudget(200*time.Millisecond))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			res, err := s.Solve(context.Background())
+			took := time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if limit := time.Second * raceSlack; took > limit {
+				t.Fatalf("200ms budget solve took %v, want < %v", took, limit)
+			}
+			if err := res.Tour.Validate(n); err != nil {
+				t.Fatalf("budget-cut solve returned invalid tour: %v", err)
+			}
+		})
+	}
+}
