@@ -7,18 +7,22 @@ GO ?= go
 # 1/2/4/8 workers, and the candidate-strategy x gain-rule cross-product
 # (kNN/quadrant/alpha/Delaunay x strict/relaxed on three families).
 BENCH_PATTERN ?= ^(BenchmarkFlip|BenchmarkOptimizeAfterKick|BenchmarkCLKKicksPerSec|BenchmarkParallelCLK|BenchmarkCandidateStrategies)$$
-BENCH_OUT     ?= BENCH_PR7.json
+BENCH_OUT     ?= results/BENCH_PR7.json
 BENCH_TIME    ?= 1s
 
-.PHONY: check build vet fmt lint distlint ignore-audit suppressions test race bench repro repro-smoke doc-links loadtest service-smoke
+.PHONY: check build vet fmt lint distlint ignore-audit suppressions test race fuzz bench repro repro-smoke doc-links loadtest service-smoke
 
 # loadtest: worker counts the solve-service load test sweeps, and where
 # its latency/throughput report lands (see results/README.md).
 LOAD_WORKERS ?= 1,2
 LOAD_OUT     ?= results/BENCH_PR8.json
 
-## check: everything CI runs — lint, full tests, race tests
-check: lint test race
+# fuzz: the native fuzz targets as package:Target, and how long each runs.
+FUZZ_TARGETS ?= ./internal/lk:FuzzArrayTourFlip ./internal/tsp:FuzzReadTSPLIB
+FUZZ_TIME    ?= 10s
+
+## check: everything CI runs — lint, full tests, race tests, fuzzing
+check: lint test race fuzz
 
 build:
 	$(GO) build ./...
@@ -54,6 +58,15 @@ lint: distlint vet fmt
 
 test:
 	$(GO) test ./...
+
+## fuzz: run each native fuzz target for FUZZ_TIME beyond its committed
+## seed corpus (testdata/fuzz/); go test fuzzes one target per run
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$pkg $$name"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
+	done
 
 ## race: the full suite under the race detector (latency assertions widen
 ## via the raceSlack build-tag constant)

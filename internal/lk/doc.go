@@ -14,6 +14,16 @@
 // hundred distinct positions, so the climb back up costs a range copy
 // instead of as many swaps again.
 //
+// Greedy dives stop at their first 2-cycle. Below the branching levels,
+// a step whose candidate re-adds the edge the step before it removed, and
+// removes the edge that step added, restores the parent's cycle, loose
+// end and gain; the greedy continuation would repeat the parent until
+// MaxDepth, scoring only closing gains the chain has already seen. The
+// dive returns there instead, so most greedy tails end a few levels below
+// the branching ones rather than at MaxDepth. The cut applies only when
+// the step and its parent are both greedy (and outside the relaxed-gain
+// depths): at a branching level it would also skip untried siblings.
+//
 // Invariants:
 //   - Optimize never worsens the tour: every accepted chain has positive
 //     total gain.
@@ -22,6 +32,8 @@
 //   - Restoring and replaying leaves the tour byte-identical to undoing
 //     the deeper flips one by one (flips are exact involutions under the
 //     shorter-side rule), so search results match flip/undo backtracking.
+//   - The 2-cycle cut leaves every chain's best gain and best path equal
+//     to those of a dive run to MaxDepth.
 //   - Search order is deterministic for a fixed (instance, candidates,
 //     Params, seed).
 //

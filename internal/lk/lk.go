@@ -52,8 +52,9 @@ func (p Params) breadth(depth int) int {
 // (loose,y) and (v,t1), making v the new loose end. Steps are recorded
 // orientation-free: applyStep re-derives the array direction from
 // Next(t1), because shorter-side flips may mirror the stored orientation.
+// y is kept only so dive can recognise a step that undoes its parent.
 type step struct {
-	loose, v int32
+	loose, y, v int32
 }
 
 // Optimizer runs Lin-Kernighan over an ArrayTour. It maintains don't-look
@@ -358,10 +359,21 @@ func (o *Optimizer) dive(loose int32, G int64, depth int) {
 		if v == loose {
 			continue // degenerate: y is loose's path successor
 		}
+		if depth > len(o.params.Breadth) && depth > o.relaxDepth {
+			// Both this level and its parent are greedy under the same
+			// gain limit. Re-adding the edge (loose, y) the parent just
+			// removed, and removing the edge (y, v) it just added, puts
+			// back the parent's cycle, loose end and G: the greedy
+			// continuation would repeat the parent forever, seeing only
+			// closing gains already scored, so the dive ends here.
+			if p := o.path[depth-1]; y == p.y && v == p.loose {
+				return
+			}
+		}
 		newG := g + o.dist(y, v)
 		closeGain := newG - o.dist(v, t1)
 
-		s := step{loose: loose, v: v}
+		s := step{loose: loose, y: y, v: v}
 		o.path = append(o.path, s)
 		if closeGain > o.bestGain {
 			o.bestGain = closeGain

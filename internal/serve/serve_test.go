@@ -516,11 +516,13 @@ func TestParamsCanonicalization(t *testing.T) {
 	}
 }
 
-// budget_ms must bound the whole job, construction included: a 20k-city
-// job (the default MaxN) with a 200ms budget answers within a second.
+// budget_ms must bound the whole job, construction included: a 70k-city
+// job with a 200ms budget answers within a second, where the initial LK
+// pass alone takes about ten times that (2-CPU container).
 func TestBudgetBoundsLargeJob(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 1})
-	body := reqBody(t, 20000, 5, SolveParams{BudgetMS: 200}, "")
+	const n = 70000
+	_, ts := testServer(t, Options{Workers: 1, MaxN: n})
+	body := reqBody(t, n, 5, SolveParams{BudgetMS: 200}, "")
 	limit := time.Second
 	if raceEnabled {
 		limit *= 6 // instrumented builds run several times slower
@@ -531,9 +533,9 @@ func TestBudgetBoundsLargeJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	checkTour(t, raw, 20000)
+	checkTour(t, raw, n)
 	if took > limit {
-		t.Fatalf("budget_ms=200 job at n=20000 took %v, want < %v", took, limit)
+		t.Fatalf("budget_ms=200 job at n=%d took %v, want < %v", n, took, limit)
 	}
 }
 

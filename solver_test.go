@@ -174,12 +174,13 @@ func TestCancelMidSolveCluster(t *testing.T) {
 	cancelMidSolve(t, s, 600, 400*time.Millisecond)
 }
 
-// A budget must bound construction too: at n=20k the initial LK pass alone
-// takes seconds, and the one-worker path used to run it to completion
-// before looking at the deadline. Both the plain path and the pooled
-// WithScratch path (every service job) are covered.
+// A budget must bound construction too: at n=70k the initial LK pass alone
+// takes about ten times the bound below (2-CPU container), and the
+// one-worker path used to run it to completion before looking at the
+// deadline. Both the plain path and the pooled WithScratch path (every
+// service job) are covered.
 func TestBudgetHonouredDuringConstruction(t *testing.T) {
-	const n = 20000
+	const n = 70000
 	in, _ := Generate("uniform", n, 13)
 	for _, tc := range []struct {
 		name string
